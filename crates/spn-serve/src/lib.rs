@@ -12,9 +12,9 @@
 //!   built from reference-count bumps, not recompiles; evicted models
 //!   recompile transparently on next use),
 //! * [`Service`] — the in-process API: a submit queue, a pool of batcher
-//!   workers, and a **dynamic micro-batcher** that coalesces concurrent
+//!   workers, and a **work-conserving micro-batcher** that coalesces queued
 //!   same-`(model, mode)` requests into dense batches under a
-//!   [`BatchPolicy`] (max batch size / max wait), dispatching through the
+//!   [`BatchPolicy`] (max batch size / idle-time hold), dispatching through the
 //!   serial or sharded engine paths; all four query modes (joint, marginal,
 //!   MAP, conditional) are served, and coalescing is bit-for-bit invisible
 //!   in the answers,

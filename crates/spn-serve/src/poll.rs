@@ -9,6 +9,11 @@
 //! per call (fine for the thousands of connections the front-end targets),
 //! and the symbol is always available wherever `std::net` works on Unix.
 //!
+//! A `Waker` lets other threads interrupt that sleep: it is a connected
+//! `UnixStream` pair whose read end sits in the poll set, so the batcher's
+//! workers can announce a finished response and the loop never has to poll
+//! on a timer to find it.
+//!
 //! This is the single place in the workspace that uses `unsafe`: one
 //! foreign call with a pointer/length pair taken from a live slice.  The
 //! crate root pins that containment with `#![deny(unsafe_code)]` and this
@@ -19,6 +24,9 @@
 //! non-blocking sockets this preserves correctness (spurious readiness just
 //! costs a `WouldBlock` round) at the price of busy-polling.
 
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Interest/readiness flag: data can be read (or a peer hung up with data
@@ -65,9 +73,9 @@ impl PollFd {
     }
 }
 
-/// Blocks until at least one entry of `fds` is ready or `timeout` elapses,
-/// filling in each entry's readiness; returns the number of ready entries
-/// (zero on timeout).
+/// Blocks until at least one entry of `fds` is ready or `timeout` elapses
+/// (`None` waits indefinitely), filling in each entry's readiness; returns
+/// the number of ready entries (zero on timeout).
 ///
 /// An interrupted wait (`EINTR`) is reported as zero ready entries rather
 /// than an error — callers run in a loop and simply poll again.
@@ -76,7 +84,7 @@ impl PollFd {
 ///
 /// Returns the OS error when the poll itself fails.
 #[cfg(unix)]
-pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
+pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
     #[allow(unsafe_code)]
     mod sys {
         use super::PollFd;
@@ -98,7 +106,7 @@ pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
     for fd in fds.iter_mut() {
         fd.revents = 0;
     }
-    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    let timeout_ms = timeout.map_or(-1, |t| i32::try_from(t.as_millis()).unwrap_or(i32::MAX));
     let ready = sys::poll_raw(fds, timeout_ms);
     if ready < 0 {
         let err = std::io::Error::last_os_error();
@@ -114,12 +122,103 @@ pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
 /// Non-blocking sockets turn the spurious readiness into `WouldBlock`, so
 /// behaviour stays correct at the cost of busy-polling.
 #[cfg(not(unix))]
-pub fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
-    std::thread::sleep(timeout.min(Duration::from_millis(5)));
+pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<usize> {
+    let cap = Duration::from_millis(5);
+    std::thread::sleep(timeout.map_or(cap, |t| t.min(cap)));
     for fd in fds.iter_mut() {
         fd.revents = fd.events | POLLIN | POLLOUT;
     }
     Ok(fds.len())
+}
+
+/// Interrupts a thread blocked in [`wait`] from any other thread.
+///
+/// The sleeper polls [`Waker::fd`] for [`POLLIN`] and calls
+/// [`Waker::reset`] once it reports readable; any thread calls
+/// [`Waker::wake`].  A flag makes a burst of wakes between two resets cost
+/// one byte and one syscall: only the wake that raises it writes.
+///
+/// On non-Unix hosts [`wait`] never sleeps longer than its fallback cap, so
+/// the waker has no descriptor and waking is just the flag.
+#[derive(Debug)]
+pub(crate) struct Waker {
+    /// A byte has been written since the last [`Waker::reset`].
+    raised: AtomicBool,
+    /// The polled end.
+    #[cfg(unix)]
+    rx: UnixStream,
+    /// The end wakes write to.
+    #[cfg(unix)]
+    tx: UnixStream,
+}
+
+impl Waker {
+    /// A fresh waker (one non-blocking socket pair on Unix).
+    ///
+    /// # Errors
+    ///
+    /// Returns the OS error when the socket pair cannot be created.
+    pub(crate) fn new() -> std::io::Result<Waker> {
+        #[cfg(unix)]
+        let (rx, tx) = UnixStream::pair()?;
+        #[cfg(unix)]
+        {
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+        }
+        Ok(Waker {
+            raised: AtomicBool::new(false),
+            #[cfg(unix)]
+            rx,
+            #[cfg(unix)]
+            tx,
+        })
+    }
+
+    /// The descriptor to poll for [`POLLIN`] (`-1`, which `poll(2)` skips,
+    /// on non-Unix hosts).
+    pub(crate) fn fd(&self) -> i32 {
+        #[cfg(unix)]
+        {
+            std::os::unix::io::AsRawFd::as_raw_fd(&self.rx)
+        }
+        #[cfg(not(unix))]
+        {
+            -1
+        }
+    }
+
+    /// Makes the sleeper's next (or current) [`wait`] return.  Everything
+    /// this thread did before the call is visible to the sleeper after its
+    /// next [`Waker::reset`].
+    pub(crate) fn wake(&self) {
+        if !self.raised.swap(true, Ordering::AcqRel) {
+            #[cfg(unix)]
+            {
+                use std::io::Write;
+                // At most one byte is ever unread, so the write cannot block.
+                let _ = (&self.tx).write(&[1]);
+            }
+        }
+    }
+
+    /// Consumes pending wakes.  Call it before looking for the work the
+    /// wakes announced: a wake that lands after the reset writes a fresh
+    /// byte, so it is never lost.
+    pub(crate) fn reset(&self) {
+        // Drain before lowering the flag: lowering it first would let a wake
+        // raise it again and have its byte eaten here, leaving the flag up
+        // with nothing to read, and every later wake would stay silent.
+        #[cfg(unix)]
+        {
+            use std::io::Read;
+            let mut sink = [0u8; 8];
+            while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
+        }
+        // A swap rather than a store: reading the flag acquires what every
+        // waker that found it already raised published before waking.
+        self.raised.swap(false, Ordering::AcqRel);
+    }
 }
 
 #[cfg(test)]
@@ -140,7 +239,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut fds = [PollFd::new(raw_fd(&listener), POLLIN)];
         let start = Instant::now();
-        let ready = wait(&mut fds, Duration::from_millis(20)).unwrap();
+        let ready = wait(&mut fds, Some(Duration::from_millis(20))).unwrap();
         assert_eq!(ready, 0);
         assert!(!fds[0].readable());
         assert!(start.elapsed() >= Duration::from_millis(10));
@@ -152,7 +251,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let mut fds = [PollFd::new(raw_fd(&listener), POLLIN)];
-        let ready = wait(&mut fds, Duration::from_millis(1000)).unwrap();
+        let ready = wait(&mut fds, Some(Duration::from_millis(1000))).unwrap();
         assert_eq!(ready, 1);
         assert!(fds[0].readable());
 
@@ -162,10 +261,29 @@ mod tests {
             PollFd::new(raw_fd(&server_side), POLLIN | POLLOUT),
             PollFd::new(raw_fd(&listener), POLLIN),
         ];
-        let ready = wait(&mut fds, Duration::from_millis(1000)).unwrap();
+        let ready = wait(&mut fds, Some(Duration::from_millis(1000))).unwrap();
         assert!(ready >= 1);
         assert!(fds[0].readable(), "pending data must mark POLLIN");
         assert!(fds[0].writable(), "an idle socket's send buffer has room");
         assert!(!fds[1].readable(), "no second connection is pending");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_burst_of_wakes_is_one_readiness_until_reset() {
+        let waker = Waker::new().unwrap();
+        let mut fds = [PollFd::new(waker.fd(), POLLIN)];
+        assert_eq!(wait(&mut fds, Some(Duration::ZERO)).unwrap(), 0);
+
+        for _ in 0..100 {
+            waker.wake();
+        }
+        assert_eq!(wait(&mut fds, None).unwrap(), 1);
+        assert!(fds[0].readable());
+
+        waker.reset();
+        assert_eq!(wait(&mut fds, Some(Duration::ZERO)).unwrap(), 0);
+        waker.wake();
+        assert_eq!(wait(&mut fds, Some(Duration::ZERO)).unwrap(), 1);
     }
 }

@@ -5,21 +5,35 @@
 //!
 //! ```text
 //! submit() ──► pending queue ──► worker: pop oldest request
-//!                 ▲  (Mutex +        │  coalesce same (model, mode)
-//!                 │   Condvar)       │  requests, up to max_batch
-//!            validation              │  queries or max_wait
+//!                 ▲  (Mutex +        │  take every queued request with
+//!                 │   Condvar +      │  the same key, up to max_batch
+//!            validation  idle count) │  queries; hold open only if idle
 //!                                    ▼
 //!                              Engine::execute_query[_parallel]
 //!                                    │
 //!                    slice values per request ──► response channels
+//!                                                  + completion wakers
 //! ```
 //!
-//! The micro-batcher is *dynamic*: a worker takes the oldest pending
-//! request, then keeps absorbing queued requests of the same
-//! `(model, query mode, numeric mode, precision)` until the batch reaches [`BatchPolicy::max_batch_queries`] queries or
-//! [`BatchPolicy::max_wait`] has elapsed — under load batches fill instantly
-//! and the wait never triggers; when idle a single request pays at most
-//! `max_wait` extra latency (`max_wait = 0` disables waiting entirely).
+//! The micro-batcher is *work-conserving*: a worker takes the oldest
+//! pending request plus every queued request of the same
+//! `(model, query mode, numeric mode, precision, sample spec)`, up to
+//! [`BatchPolicy::max_batch_queries`] queries, and dispatches at once.
+//! Batches therefore form from backlog alone: under load requests queue up
+//! behind busy workers and leave together, and no worker ever sleeps while
+//! work is queued.  Only when waiting costs nobody anything does a worker
+//! hold a partial batch open for up to [`BatchPolicy::max_wait`] to gather
+//! more same-key requests: it must have found the service idle (it waited
+//! for the batch's first request rather than taking it from backlog), the
+//! queue must be otherwise empty and no sibling worker may be idle.  Any
+//! other arrival, a sibling going idle, a full batch or shutdown ends the
+//! hold early.  So with two or more workers a lone request dispatches at
+//! once; a single worker still pays up to `max_wait` for company.
+//!
+//! Once it has sent the responses of a batch or session drain, a worker
+//! fires the completion wakers the TCP front-ends registered, so an event
+//! loop blocked in `poll(2)` collects the answers at once instead of on a
+//! timer.
 //!
 //! Coalescing never changes answers: every backend applies an identical
 //! per-query kernel, so the values a request receives from a coalesced batch
@@ -52,6 +66,7 @@ use spn_platforms::{Backend, Engine, Parallelism, QueryOutput};
 
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsRecord, SessionStats};
+use crate::poll::Waker;
 use crate::registry::{ModelRegistry, ModelVariant};
 use crate::session::{
     evict_entry, SessionEntry, SessionHandle, SessionInner, SessionKey, SessionOp, SessionOpen,
@@ -64,8 +79,11 @@ pub struct BatchPolicy {
     /// Stop absorbing requests once a batch holds this many queries (a
     /// single oversized request still dispatches alone, unsplit).
     pub max_batch_queries: usize,
-    /// How long a worker holding a non-full batch waits for more same-key
-    /// requests; `ZERO` dispatches immediately.
+    /// The longest a worker holds a non-full batch open for more same-key
+    /// requests.  It holds only when it found the service idle, nothing
+    /// else is queued and no sibling worker is idle (see the module docs),
+    /// so under load and with idle siblings batches dispatch at once;
+    /// `ZERO` never holds.
     pub max_wait: Duration,
 }
 
@@ -80,7 +98,7 @@ impl BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// 256-query batches, waiting at most 1 ms to fill them.
+    /// 256-query batches, held open at most 1 ms when the service is idle.
     fn default() -> Self {
         BatchPolicy {
             max_batch_queries: 256,
@@ -138,11 +156,56 @@ enum Item {
     Session(Arc<SessionEntry>),
 }
 
+/// The work queue plus the worker counts the batcher's hold rule reads.
+struct Queue {
+    items: VecDeque<Item>,
+    /// Workers blocked waiting for work.
+    idle: usize,
+    /// Workers holding a partial batch open for more same-key requests.
+    holding: usize,
+}
+
 /// State shared between submitters and workers.
 struct Shared {
-    queue: Mutex<VecDeque<Item>>,
+    queue: Mutex<Queue>,
+    /// Signalled on every enqueue, on shutdown and whenever a worker goes
+    /// idle while a sibling holds a batch open (which ends the hold).
     available: Condvar,
     shutdown: AtomicBool,
+    /// Fired after each claim's responses are sent; see
+    /// [`Service::add_waker`].
+    wakers: Mutex<Vec<Arc<Waker>>>,
+}
+
+impl Shared {
+    /// Raises the shutdown flag and wakes every worker.  The flag is set
+    /// under the queue lock: a worker checks it under that lock just before
+    /// it waits, and an unlocked store could slip in between and leave the
+    /// worker asleep through the notification.
+    fn begin_shutdown(&self) {
+        let queue = self.queue.lock();
+        self.shutdown.store(true, Ordering::Release);
+        drop(queue);
+        self.available.notify_all();
+    }
+
+    /// Fires every registered completion waker.
+    fn wake(&self) {
+        for waker in self.wakers.lock().expect("service wakers lock").iter() {
+            waker.wake();
+        }
+    }
+}
+
+/// Fires the wakers when a worker exits, unwinding included: a panicking
+/// worker drops its requests' response channels, and the front-ends must
+/// look at them to answer the disconnect.
+struct WakeOnExit<'a>(&'a Shared);
+
+impl Drop for WakeOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
 }
 
 /// A waiting slot for one submitted request.
@@ -196,9 +259,14 @@ where
     pub fn new(backend: B, config: ServiceConfig) -> Service<B> {
         let registry = Arc::new(ModelRegistry::new(backend, config.artifact_capacity));
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                idle: 0,
+                holding: 0,
+            }),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            wakers: Mutex::new(Vec::new()),
         });
         let metrics = Arc::new(Metrics::new());
         let sessions = Arc::new(SessionTable::new(config.session_capacity));
@@ -289,7 +357,7 @@ where
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(ServeError::ShuttingDown);
             }
-            queue.push_back(Item::Query(Pending {
+            queue.items.push_back(Item::Query(Pending {
                 request,
                 tx,
                 submitted: Instant::now(),
@@ -471,16 +539,34 @@ where
     /// Pushes a worker token for `entry` onto the main queue.
     fn enqueue_session(&self, entry: Arc<SessionEntry>) {
         let mut queue = self.shared.queue.lock().expect("service queue lock");
-        queue.push_back(Item::Session(entry));
+        queue.items.push_back(Item::Session(entry));
         drop(queue);
         self.shared.available.notify_all();
+    }
+
+    /// Registers a waker fired whenever a worker has sent responses, one
+    /// shot or session.
+    pub(crate) fn add_waker(&self, waker: Arc<Waker>) {
+        self.shared
+            .wakers
+            .lock()
+            .expect("service wakers lock")
+            .push(waker);
+    }
+
+    /// Unregisters a waker added by [`Service::add_waker`].
+    pub(crate) fn remove_waker(&self, waker: &Arc<Waker>) {
+        self.shared
+            .wakers
+            .lock()
+            .expect("service wakers lock")
+            .retain(|w| !Arc::ptr_eq(w, waker));
     }
 
     /// Stops accepting requests, lets the workers drain what is queued, and
     /// joins them.  Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
+        self.shared.begin_shutdown();
         let mut workers = self.workers.lock().expect("service workers lock");
         for worker in workers.drain(..) {
             let _ = worker.join();
@@ -490,8 +576,7 @@ where
 
 impl<B: Backend> Drop for Service<B> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
+        self.shared.begin_shutdown();
         if let Ok(mut workers) = self.workers.lock() {
             for worker in workers.drain(..) {
                 let _ = worker.join();
@@ -595,21 +680,30 @@ fn worker_loop<B>(
     // rebuilt).  Every variant of one model lives side by side, LRU-bounded
     // (the precision key is client-controlled).
     let mut engines: WorkerEngines<B> = WorkerEngines::new();
+    let _wake_on_exit = WakeOnExit(shared);
 
     loop {
         let claimed = {
             let mut queue = shared.queue.lock().expect("service queue lock");
+            let mut waited = false;
             let first = loop {
-                if let Some(first) = queue.pop_front() {
+                if let Some(first) = queue.items.pop_front() {
                     break first;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                if queue.holding > 0 {
+                    // Going idle ends a sibling's hold.
+                    shared.available.notify_all();
+                }
+                waited = true;
+                queue.idle += 1;
                 queue = shared
                     .available
                     .wait(queue)
                     .expect("service queue lock poisoned");
+                queue.idle -= 1;
             };
             match first {
                 Item::Session(entry) => Claimed::Session(entry),
@@ -620,36 +714,42 @@ fn worker_loop<B>(
                     group.push(first);
 
                     take_matching(
-                        &mut queue,
+                        &mut queue.items,
                         &key,
                         policy.max_batch_queries,
                         &mut total,
                         &mut group,
                     );
+                    // Hold the batch open for same-key company only while
+                    // that delays nobody: the batch did not come from
+                    // backlog, nothing else is queued, and no sibling is
+                    // idle to take what arrives next.
                     let deadline = Instant::now() + policy.max_wait;
-                    while total < policy.max_batch_queries
+                    queue.holding += 1;
+                    while waited
+                        && total < policy.max_batch_queries
+                        && queue.items.is_empty()
+                        && queue.idle == 0
                         && !shared.shutdown.load(Ordering::Acquire)
                     {
                         let now = Instant::now();
                         if now >= deadline {
                             break;
                         }
-                        let (q, timeout) = shared
+                        queue = shared
                             .available
                             .wait_timeout(queue, deadline - now)
-                            .expect("service queue lock poisoned");
-                        queue = q;
+                            .expect("service queue lock poisoned")
+                            .0;
                         take_matching(
-                            &mut queue,
+                            &mut queue.items,
                             &key,
                             policy.max_batch_queries,
                             &mut total,
                             &mut group,
                         );
-                        if timeout.timed_out() {
-                            break;
-                        }
                     }
+                    queue.holding -= 1;
                     Claimed::Group(group, total)
                 }
             }
@@ -662,6 +762,8 @@ fn worker_loop<B>(
                 handle_session(registry, sessions, metrics, &mut engines, &entry);
             }
         }
+        // Every response of the claim has been sent.
+        shared.wake();
     }
 }
 

@@ -110,9 +110,17 @@
 //! worker fleet drains the micro-batcher, and concurrency across
 //! connections is what feeds it.
 //!
+//! The loop sleeps only on readiness, never on a timer.  Besides the
+//! sockets, its poll set holds a completion waker: the server registers it with the
+//! service, whose workers fire it after every one-shot and session response
+//! they send, so a finished answer is collected and written at once.  A
+//! flag inside the waker makes a burst of completions cost at most one wake
+//! byte per loop turn.  [`TcpServer::shutdown`] fires the same waker.
+//!
 //! [`TcpServer::shutdown`] stops accepting, discards buffered *partial*
 //! request lines, drains in-flight responses and flushes write buffers
-//! (bounded by a drain deadline), then joins the event loop.
+//! (bounded by a drain deadline, the loop's only timeout), then joins the
+//! event loop.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -129,16 +137,13 @@ use spn_platforms::Backend;
 use crate::error::ServeError;
 use crate::json::{self, Value};
 use crate::metrics::{MetricsRecord, SessionStats};
-use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::registry::ModelVariant;
 use crate::service::{ResponseHandle, Service};
 use crate::session::{SessionHandle, SessionOpen, SessionResponse};
 
-/// Poll timeout when every connection is idle: bounds shutdown-flag latency.
-const IDLE_POLL: Duration = Duration::from_millis(50);
-/// Poll timeout while responses are in flight: bounds added response
-/// latency without spinning (the service answers on its own threads).
-const INFLIGHT_POLL: Duration = Duration::from_millis(1);
+/// Back-off after a failed `poll(2)`, so a persistent failure cannot spin.
+const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 /// Longest accepted request line; a peer exceeding it gets a protocol error
 /// and its connection closed (protects the buffer from unframed floods).
 const MAX_LINE_BYTES: usize = 4 * 1024 * 1024;
@@ -152,6 +157,9 @@ const READ_CHUNK: usize = 64 * 1024;
 pub struct TcpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// Wakes the event loop: fired by the service's workers after every
+    /// response and by [`TcpServer::shutdown`].
+    waker: Arc<Waker>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -161,7 +169,7 @@ impl TcpServer {
     ///
     /// # Errors
     ///
-    /// Returns the bind error.
+    /// Returns the bind error, or the error creating the loop's waker.
     pub fn spawn<B>(service: Arc<Service<B>>, addr: &str) -> std::io::Result<TcpServer>
     where
         B: Backend + Clone + Send + Sync + 'static,
@@ -171,12 +179,18 @@ impl TcpServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
+        let waker = Arc::new(Waker::new()?);
+        service.add_waker(Arc::clone(&waker));
         let loop_shutdown = Arc::clone(&shutdown);
-        let accept_thread =
-            std::thread::spawn(move || event_loop(&service, &listener, &loop_shutdown));
+        let loop_waker = Arc::clone(&waker);
+        let accept_thread = std::thread::spawn(move || {
+            event_loop(&service, &listener, &loop_shutdown, &loop_waker);
+            service.remove_waker(&loop_waker);
+        });
         Ok(TcpServer {
             addr,
             shutdown,
+            waker,
             accept_thread: Some(accept_thread),
         })
     }
@@ -191,10 +205,7 @@ impl TcpServer {
     /// underlying [`Service`] keeps running — shut it down separately.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        // Nudge the event loop out of its poll wait with one last
-        // connection to ourselves (it would notice within `IDLE_POLL`
-        // anyway; this just makes shutdown prompt).
-        let _ = TcpStream::connect(self.addr);
+        self.waker.wake();
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
@@ -264,16 +275,6 @@ impl Connection {
             eof: false,
             dead: false,
         }
-    }
-
-    /// Whether any submitted request is still waiting on the service.
-    fn has_pending(&self) -> bool {
-        self.inflight.iter().any(|f| {
-            matches!(
-                f,
-                InFlight::Pending { .. } | InFlight::PendingSession { .. }
-            )
-        })
     }
 
     /// Everything owed has been handed to the socket.
@@ -424,8 +425,12 @@ impl Connection {
 /// The readiness-driven front-end: one thread multiplexing the listener and
 /// every connection, submitting requests to `service` and writing responses
 /// back in request order.
-fn event_loop<B>(service: &Arc<Service<B>>, listener: &TcpListener, shutdown: &AtomicBool)
-where
+fn event_loop<B>(
+    service: &Arc<Service<B>>,
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    waker: &Waker,
+) where
     B: Backend + Clone + Send + Sync + 'static,
     B::Compiled: Send + Sync + 'static,
 {
@@ -445,23 +450,28 @@ where
             }
         }
         let draining = draining_since.is_some();
+        // Sleep until readiness; only the shutdown drain has a deadline.
+        let mut timeout = None;
         if let Some(since) = draining_since {
             let all_drained = connections.iter().all(Connection::drained);
-            if all_drained || since.elapsed() > SHUTDOWN_DRAIN {
+            let left = SHUTDOWN_DRAIN.saturating_sub(since.elapsed());
+            if all_drained || left.is_zero() {
                 for conn in &connections {
                     service.drop_connection(conn.conn);
                 }
                 return;
             }
+            timeout = Some(left);
         }
 
-        // One pollfd per live socket: the listener first (while accepting),
-        // then every connection with its current interest set.
+        // One pollfd per live socket: the waker, the listener (while
+        // accepting), then every connection with its current interest set.
         fds.clear();
-        let conn_base = usize::from(!draining);
+        fds.push(PollFd::new(waker.fd(), POLLIN));
         if !draining {
             fds.push(PollFd::new(fd_of(listener), POLLIN));
         }
+        let conn_base = fds.len();
         for conn in &connections {
             let mut events = 0i16;
             if !conn.eof {
@@ -472,14 +482,14 @@ where
             }
             fds.push(PollFd::new(fd_of(&conn.stream), events));
         }
-        let timeout = if connections.iter().any(Connection::has_pending) {
-            INFLIGHT_POLL
-        } else {
-            IDLE_POLL
-        };
         if poll::wait(&mut fds, timeout).is_err() {
             // A failing poll would spin the loop; back off instead.
-            std::thread::sleep(IDLE_POLL);
+            std::thread::sleep(POLL_ERROR_BACKOFF);
+        }
+        if fds[0].readable() {
+            // Consume the wake before collecting, so a response finished
+            // after this point wakes the next poll instead of being missed.
+            waker.reset();
         }
 
         // Service existing connections first — their indices line up with
@@ -504,7 +514,7 @@ where
             }
         });
 
-        if !draining && fds[0].readable() {
+        if !draining && fds[1].readable() {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {

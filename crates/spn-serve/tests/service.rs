@@ -2,13 +2,13 @@
 //! coalescing, per-request error isolation, and model hot-swap.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spn_core::query::{reference_query, reference_query_with};
 use spn_core::wire::QueryRequest;
 use spn_core::{
-    ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch, QueryMode, Spn, SpnBuilder,
-    VarId,
+    ConditionalBatch, Evidence, EvidenceBatch, NumericMode, QueryBatch, QueryMode, SampleMethod,
+    SampleSpec, Spn, SpnBuilder, VarId,
 };
 use spn_platforms::{CpuModel, Parallelism};
 use spn_serve::{BatchPolicy, Service, ServiceConfig};
@@ -129,6 +129,98 @@ fn concurrent_load_coalesces_into_batches() {
         marginal.stats
     );
     assert!(marginal.stats.batches < 32);
+    service.shutdown();
+}
+
+/// A service over [`independent_pair`] with `workers` batcher workers and a
+/// patient `max_wait`.
+fn patient_service(workers: usize, max_wait: Duration) -> Service<CpuModel> {
+    let service = Service::new(
+        CpuModel::new(),
+        ServiceConfig {
+            workers,
+            policy: BatchPolicy {
+                max_batch_queries: 64,
+                max_wait,
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    service.register("pair", &independent_pair());
+    service
+}
+
+#[test]
+fn a_lone_request_does_not_wait_while_a_sibling_worker_is_idle() {
+    // Holding the batch open could only gather requests the idle sibling
+    // would take at once, so the batcher must not sleep out the 5 s window.
+    let service = patient_service(2, Duration::from_secs(5));
+    let start = Instant::now();
+    let request = QueryRequest::from_rows(1, "pair", QueryMode::Marginal, &["1?"], None).unwrap();
+    let response = service.query(request).unwrap();
+    assert!((response.values[0] - 0.2).abs() < 1e-9);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "lone request took {:?}",
+        start.elapsed()
+    );
+    service.shutdown();
+}
+
+#[test]
+fn requests_that_cannot_coalesce_do_not_serialise_on_max_wait() {
+    // Every distinct sample seed is its own batch key, so none of these can
+    // share a batch; sleeping max_wait on each would take 16 x 200 ms / 2.
+    let service = patient_service(2, Duration::from_millis(200));
+    let start = Instant::now();
+    let handles: Vec<_> = (0..16u64)
+        .map(|seed| {
+            let request = QueryRequest::from_rows_with_spec(
+                seed,
+                "pair",
+                QueryMode::Expectation,
+                &["1?"],
+                None,
+                SampleSpec {
+                    seed,
+                    n_samples: 16,
+                    method: SampleMethod::LikelihoodWeighted,
+                },
+            )
+            .unwrap();
+            service.submit(request).unwrap()
+        })
+        .collect();
+    for (seed, handle) in handles.into_iter().enumerate() {
+        let response = handle.wait().unwrap();
+        assert_eq!(response.id, seed as u64);
+        assert_eq!(response.samples, 16);
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "16 non-coalescing requests took {:?}",
+        start.elapsed()
+    );
+    service.shutdown();
+}
+
+#[test]
+fn a_single_worker_never_holds_a_batch_while_other_work_is_queued() {
+    // The second request has another key: it ends the first one's hold and
+    // then, having queued behind it, dispatches without a hold of its own.
+    let service = patient_service(1, Duration::from_secs(5));
+    let start = Instant::now();
+    let marginal = QueryRequest::from_rows(1, "pair", QueryMode::Marginal, &["1?"], None).unwrap();
+    let joint = QueryRequest::from_rows(2, "pair", QueryMode::Joint, &["10"], None).unwrap();
+    let first = service.submit(marginal).unwrap();
+    let second = service.submit(joint).unwrap();
+    assert!((first.wait().unwrap().values[0] - 0.2).abs() < 1e-9);
+    assert!((second.wait().unwrap().values[0] - 0.02).abs() < 1e-9);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "two keys on one worker took {:?}",
+        start.elapsed()
+    );
     service.shutdown();
 }
 

@@ -26,7 +26,11 @@ use spn_accel::serve::tcp::{decode_response, encode_request};
 use spn_accel::serve::{BatchPolicy, Service, ServiceConfig, TcpServer};
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    // One batcher worker with a 10 ms window makes coalescing easy to see.
+    // One batcher worker with a 10 ms hold makes coalescing easy to see: a
+    // request that finds the worker idle is held open for same-key company
+    // until other work queues up, and anything that queued behind a batch
+    // leaves with the next one.  With two or more workers an idle sibling
+    // ends the hold at once, so the default policy adds no wait.
     let service = Arc::new(Service::new(
         CpuModel::new(),
         ServiceConfig {

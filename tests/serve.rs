@@ -13,7 +13,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spn_accel::core::wire::QueryRequest;
 use spn_accel::core::{QueryMode, SampleMethod, SampleSpec, Spn};
@@ -332,5 +332,52 @@ fn tcp_rejects_malformed_numeric_and_precision_fields() {
     assert!((response.values[0] - 1.0).abs() < 1e-2);
 
     server.shutdown();
+    service.shutdown();
+}
+
+/// The event loop sleeps on readiness alone, so a response must reach it
+/// through the completion waker: a lost wake would leave this lone request
+/// unanswered, which the 2 s read timeout turns into a failure, not a hang.
+/// Shutdown must likewise wake the parked loop at once.
+#[test]
+fn a_lone_request_on_an_idle_connection_is_answered_and_shutdown_is_prompt() {
+    let service = Arc::new(Service::new(CpuModel::new(), ServiceConfig::default()));
+    service.register("banknote", &Benchmark::Banknote.spn());
+    let mut server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    // Let the loop accept the connection and park in poll with nothing
+    // in flight.
+    std::thread::sleep(Duration::from_millis(100));
+    let num_vars = Benchmark::Banknote.spn().num_vars();
+    let line = format!(
+        r#"{{"id": 1, "model": "banknote", "mode": "marginal", "rows": ["{}"]}}"#,
+        "?".repeat(num_vars)
+    );
+    writer.write_all(line.as_bytes()).unwrap();
+    writer.write_all(b"\n").unwrap();
+    writer.flush().unwrap();
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("the lone request must be answered within the read timeout");
+    let response = decode_response(reply.trim()).unwrap();
+    assert_eq!(response.id, 1);
+    assert!((response.values[0] - 1.0).abs() < 1e-9);
+
+    // Shutdown with an idle connection still open.
+    std::thread::sleep(Duration::from_millis(100));
+    let start = Instant::now();
+    server.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        start.elapsed()
+    );
     service.shutdown();
 }

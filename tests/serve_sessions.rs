@@ -54,6 +54,10 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).unwrap();
+        // A lost completion wake fails the test here instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
         Client {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
@@ -302,6 +306,48 @@ fn session_table_evicts_least_recently_used_under_capacity_pressure() {
     }
 
     server.shutdown();
+    service.shutdown();
+}
+
+/// A lone delta on an otherwise idle connection reaches the client through
+/// the completion waker (the event loop has no timer to find it by), and
+/// shutdown wakes the parked loop at once.
+#[test]
+fn a_lone_delta_on_an_idle_connection_is_answered_and_shutdown_is_prompt() {
+    let spn = Benchmark::Banknote.spn();
+    let num_vars = spn.num_vars();
+    let service = Arc::new(Service::new(CpuModel::new(), ServiceConfig::default()));
+    service.register("banknote", &spn);
+    let mut server = TcpServer::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr());
+    let open = client.ask(&format!(
+        r#"{{"v": 2, "type": "session_open", "id": 1, "session": 3, "model": "banknote", "row": "{}"}}"#,
+        "?".repeat(num_vars)
+    ));
+    assert!(is_ok(&open), "{open:?}");
+
+    // Let the loop park in poll with nothing in flight, then send one delta.
+    std::thread::sleep(Duration::from_millis(100));
+    let flips = [(0, Some(true))];
+    let reply = client.ask(&format!(
+        r#"{{"v": 2, "type": "delta", "id": 2, "session": 3, "flips": {}}}"#,
+        flips_json(&flips)
+    ));
+    assert!(is_ok(&reply), "{reply:?}");
+    let mut evidence = Evidence::marginal(num_vars);
+    apply_flips(&mut evidence, &flips);
+    let mut oracle = Engine::new(CpuModel::new(), &spn, EngineOptions::default()).unwrap();
+    let (want, _) = oracle.execute(&evidence).unwrap();
+    assert_eq!(value_of(&reply).to_bits(), want.to_bits());
+
+    std::thread::sleep(Duration::from_millis(100));
+    let start = Instant::now();
+    server.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        start.elapsed()
+    );
     service.shutdown();
 }
 
